@@ -243,14 +243,15 @@ class NetworkFabric:
         """
         if src is dst and src is not None:
             return self.local_latency_ms
-        bandwidths = [dst.itype.net_bytes_per_ms()]
+        bandwidth = dst.itype.net_bytes_per_ms()
         dst.net_meter.add(size_bytes)
         if src is not None:
-            bandwidths.append(src.itype.net_bytes_per_ms())
+            src_bandwidth = src.itype.net_bytes_per_ms()
+            if src_bandwidth < bandwidth:
+                bandwidth = src_bandwidth
             src.net_meter.add(size_bytes)
-        serialization = size_bytes / min(bandwidths)
         return self.latency_multiplier * (
-            self.remote_rtt_ms / 2.0 + serialization)
+            self.remote_rtt_ms / 2.0 + size_bytes / bandwidth)
 
     def transfer_delay(self, src: Server, dst: Server,
                        size_bytes: float) -> float:

@@ -114,6 +114,34 @@ def test_shutdown_stops_cores():
     assert not done.triggered
 
 
+def test_shutdown_drains_queued_jobs_unmetered():
+    sim = Simulator()
+    server = make_server(sim, "m1.small")  # 1 vCPU at half speed
+    queued = [server.execute(10.0) for _ in range(3)]
+    sim.run(until=1.0)  # the first job is on the core
+    server.shutdown()
+    late = server.execute(10.0)
+    sim.run()
+    # Jobs queued before shutdown still run, back to back, but the
+    # meter stops at shutdown; the core stops before the late job.
+    assert [signal.value for signal in queued] == [20.0, 20.0, 20.0]
+    assert sim.now == 60.0
+    assert server.cpu_meter.total(1_000.0) == 0.0
+    assert not late.triggered
+
+
+def test_jobs_in_the_boot_instant_wait_for_the_start_hops():
+    sim = Simulator()
+    server = make_server(sim, "m5.large")  # 2 vCPUs
+    finish = []
+    for _ in range(3):
+        server.execute(10.0)._subscribe(lambda busy: finish.append(sim.now))
+    assert server.run_queue_length() == 3
+    sim.run()
+    assert finish == [10.0, 10.0, 20.0]
+    assert server.cpu_meter.total(1_000.0) == 30.0
+
+
 def test_run_queue_length_counts_waiting_jobs():
     sim = Simulator()
     server = make_server(sim, "m5.large")
