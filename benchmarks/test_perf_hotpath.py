@@ -1,4 +1,5 @@
-"""Hot-path micro-benchmarks: EPR profiling, GEM evaluation, sim kernel.
+"""Hot-path micro-benchmarks: EPR profiling, GEM evaluation, sim kernel,
+actor dispatch.
 
 Each benchmark times the incremental elasticity path against the
 full-recompute reference path *in the same process* and records both
@@ -12,13 +13,17 @@ The asserted ≥2x speedups are deliberately far below the measured
 margins (typically 5-50x) so shared-runner noise cannot flake them.
 """
 
-from repro.actors import Actor, Message
+import time
+
+from repro.actors import Actor, Client, Message, RuntimeHooks
+from repro.apps.estore import build_estore
 from repro.bench import build_cluster, record_metrics, time_ops
 from repro.core import compile_source
 from repro.core.emr.evaluate import (EvaluationScope, colocate_groups,
                                      evaluate_rule)
 from repro.core.profiling import ActorStats, ProfilingRuntime
-from repro.sim import Queue, Simulator
+from repro.sim import (CalendarSimulator, HeapSimulator, Process, Queue,
+                       Simulator, Timeout, spawn)
 
 WINDOW_MS = 60_000.0
 NUM_ACTORS = 128
@@ -320,3 +325,123 @@ def test_sim_kernel_throughput(report):
     # floor against the committed baseline (see repro.bench.perf).
     assert kernel_ratio < 0.66
     assert calendar.ops_per_sec > 200_000
+
+
+# ---------------------------------------------------------------------------
+# actor dispatch, end to end
+# ---------------------------------------------------------------------------
+
+DISPATCH_CLIENTS = 32
+DISPATCH_SIM_MS = 10_000.0
+#: ``schedule()`` calls and delivered messages of one run of the bed
+#: below, recorded before dispatch became callback-driven.  The event
+#: sequence is part of the contract: a dispatch change must keep every
+#: hop, so both counts must match exactly.
+DISPATCH_SCHEDULES = 240_808
+DISPATCH_DELIVERED = 28_320
+
+
+class _Delivered(RuntimeHooks):
+    def __init__(self):
+        self.count = 0
+
+    def on_message_delivered(self, record, message):
+        self.count += 1
+
+
+def _dispatch_bed():
+    """E-Store (16 roots, 2 children each) on 4 m1.small servers with
+    32 closed-loop clients and 10 ms think time; no elasticity manager,
+    so every event is dispatch, CPU, network or a client loop."""
+    bed = build_cluster(4, "m1.small", seed=3)
+    setup = build_estore(bed, num_roots=16, children_per_root=2)
+    delivered = _Delivered()
+    bed.system.add_hooks(delivered)
+    keys = bed.streams.stream("dispatch-keys")
+
+    def client_loop(client):
+        while bed.sim.now < DISPATCH_SIM_MS:
+            yield from client.timed_call(setup.picker.pick(), "read",
+                                         keys.randrange(10_000))
+            yield Timeout(bed.sim, 10.0)
+
+    for index in range(DISPATCH_CLIENTS):
+        spawn(bed.sim, client_loop(Client(bed.system, name=f"c{index}")),
+              name=f"client/{index}")
+    return bed, delivered
+
+
+def _counted_dispatch_run():
+    """(schedules, process steps, client-loop steps, delivered)."""
+    counts = {"schedules": 0, "steps": 0, "client_steps": 0}
+    saved = []
+
+    def patch(cls, attr, wrapper_for):
+        original = cls.__dict__[attr]
+        saved.append((cls, attr, original))
+        setattr(cls, attr, wrapper_for(original))
+
+    def count_schedule(original):
+        def counted(self, *args):
+            counts["schedules"] += 1
+            return original(self, *args)
+        return counted
+
+    def count_step(original):
+        def counted(self, *args):
+            counts["steps"] += 1
+            if self.name.startswith("client/"):
+                counts["client_steps"] += 1
+            return original(self, *args)
+        return counted
+
+    for kernel in (CalendarSimulator, HeapSimulator):
+        patch(kernel, "schedule", count_schedule)
+        patch(kernel, "schedule_at", count_schedule)
+    patch(Process, "_step", count_step)
+    try:
+        bed, delivered = _dispatch_bed()
+        bed.run(until_ms=DISPATCH_SIM_MS + 1_000.0)
+    finally:
+        for cls, attr, original in saved:
+            setattr(cls, attr, original)
+    return (counts["schedules"], counts["steps"], counts["client_steps"],
+            delivered.count)
+
+
+def test_actor_dispatch_throughput(report):
+    """Delivered actor messages per host second on an E-Store bed.
+
+    The rate is the best of three timed runs (set-up excluded).  Two
+    deterministic counts back it: ``schedule()`` calls per delivered
+    message must equal the recorded value exactly (no hop added, none
+    dropped), and generator-process steps per message must come from
+    the client loops alone (dispatchers and cores are callbacks).
+    """
+    best_s = float("inf")
+    delivered = 0
+    for _ in range(3):
+        bed, counter = _dispatch_bed()
+        start = time.perf_counter()
+        bed.run(until_ms=DISPATCH_SIM_MS + 1_000.0)
+        best_s = min(best_s, time.perf_counter() - start)
+        delivered = counter.count
+    rate = delivered / best_s
+    schedules, steps, client_steps, counted = _counted_dispatch_run()
+    assert counted == delivered
+    report.add(f"actor dispatch (E-Store, {DISPATCH_CLIENTS} clients, "
+               f"{DISPATCH_SIM_MS / 1000:.0f} s simulated)")
+    report.add(f"delivered messages: {delivered:,}")
+    report.add(f"messages/s: {rate:,.0f}")
+    report.add(f"schedule() calls per message: {schedules / delivered:.4f}")
+    report.add(f"process steps per message: {steps / delivered:.4f} "
+               f"(client loops: {client_steps / delivered:.4f})")
+    record_metrics("actor_dispatch", {
+        "msgs_per_sec": rate,
+        "schedules_per_msg": schedules / delivered,
+        "process_steps_per_msg": steps / delivered,
+    })
+    report.write("perf_actor_dispatch")
+    assert (schedules, delivered) == (DISPATCH_SCHEDULES,
+                                      DISPATCH_DELIVERED)
+    assert steps == client_steps
