@@ -14,7 +14,9 @@ divided by the fleet's size growth.  Sub-linearity means < 1; we assert
 < 0.9 with a wide margin (sqrt scaling predicts ~0.3), and the recorded
 ratio is regression-checked at 20% by CI's perf gate.
 
-``SCALE_SMOKE=1`` trims the fleet to 100/500 servers for CI.
+``SCALE_SMOKE=1`` trims the fleet to 100/500 servers for CI.  It writes
+``results/scale_cluster.smoke.txt`` and records ``scale_cluster_smoke``,
+leaving the committed full-size table and metrics alone.
 """
 
 import math
@@ -27,12 +29,16 @@ from repro.core import EmrConfig
 from repro.core.emr.hierarchy import RootGem, build_aggregate
 from repro.core.profiling import ActorSnapshot, ServerSnapshot
 
-if os.environ.get("SCALE_SMOKE"):
+RESULTS_SMOKE = bool(os.environ.get("SCALE_SMOKE"))
+if RESULTS_SMOKE:
     FLEET_SMALL, FLEET_LARGE = 100, 500
     ACTORS_PER_SERVER = 50
 else:
     FLEET_SMALL, FLEET_LARGE = 500, 5_000
     ACTORS_PER_SERVER = 200
+RESULTS_CONFIG = (f"SCALE_SMOKE={'1' if RESULTS_SMOKE else 'unset'}: "
+                  f"{FLEET_SMALL}/{FLEET_LARGE} servers, "
+                  f"{ACTORS_PER_SERVER} actors per server")
 
 ARBITRATE_LOOPS = 500
 NOW_MS = 1_000_000.0
@@ -161,7 +167,8 @@ def test_root_decision_cost_is_sublinear(report):
                f"=> scaling ratio {scaling_ratio:.3f} (sub-linear < 1)")
     report.write("scale_cluster")
 
-    record_metrics("scale_cluster", {
+    record_metrics("scale_cluster_smoke" if RESULTS_SMOKE
+                   else "scale_cluster", {
         "servers_small": FLEET_SMALL,
         "servers_large": FLEET_LARGE,
         "actors_large": large["actors"],
@@ -180,5 +187,5 @@ def test_root_decision_cost_is_sublinear(report):
         f"fleet (ratio {scaling_ratio:.3f}): the root tier is no longer "
         f"sub-linear in server count")
     # The large fleet really was cluster-scale.
-    assert large["actors"] >= 25_000 if os.environ.get("SCALE_SMOKE") \
+    assert large["actors"] >= 25_000 if RESULTS_SMOKE \
         else large["actors"] >= 1_000_000
